@@ -3,13 +3,13 @@
 //! Runs the campaign worker's hot path ([`RunContext::fuzz_once`] via
 //! [`nodefz_campaign::measure`]) back-to-back for every (app, preset) arm
 //! of the fig6 bug set, prints the per-arm table, and writes the
-//! `nodefz-throughput-v1` JSON report to `BENCH_throughput.json` at the
+//! `nodefz-throughput-v3` JSON report to `BENCH_throughput.json` at the
 //! repo root — the number successive PRs regress against.
 //!
 //! Run with: `cargo bench -p nodefz-bench --bench throughput`
 //!
 //! Environment knobs (all optional):
-//! * `NFZ_BENCH_WINDOW_MS` — measurement window per arm (default 400)
+//! * `NFZ_BENCH_WINDOW_MS` — raw measurement window per arm (default 400)
 //! * `NFZ_BENCH_WARMUP_MS` — warmup per arm, excluded (default 100)
 //! * `NFZ_BENCH_OUT` — report path (default `BENCH_throughput.json`)
 //!

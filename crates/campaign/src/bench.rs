@@ -1,38 +1,25 @@
-//! Schedule-space throughput measurement (`nodefz-throughput-v2`).
+//! Schedule-space throughput measurement (`nodefz-throughput-v3`).
 //!
 //! Node.fz's value proposition is schedule bugs manifested *per unit of
 //! testing time* (<1.1x overhead, Table 5 of the paper). Raw executions
-//! per second was this bench's v1 currency — but raw throughput
-//! overstates value: two happens-before-equivalent schedules manifest
-//! exactly the same races, so the true currency is *distinct schedule
-//! classes per second*. The v2 bench measures three windows per
-//! (app, preset) arm:
+//! per second overstates value: two happens-before-equivalent schedules
+//! manifest exactly the same races, so the better currency is *distinct
+//! schedule classes*. The bench measures two windows per (app, preset)
+//! arm:
 //!
-//! 1. **raw** — the v1 measurement, unchanged for trajectory
-//!    comparability: record-mode executions back-to-back, counted through
-//!    the campaign's metrics registry ([`RunContext::fuzz_once`]).
-//! 2. **canon** — the same loop with the pruning kit attached
-//!    ([`RunContext::enable_prune`]): every run's event log folds into an
-//!    HB canonical key, a seen-set splits runs into distinct vs
-//!    redundant. `distinct_per_sec` is the honest throughput;
-//!    `redundancy_ratio` is what raw counting was overstating.
-//! 3. **pruned** — the [`ForkExplorer`] engine: record one run, memoize
-//!    its decision prefix, then fork — replay the prefix, steer the first
-//!    fresh decision away from already-explored classes, count draws
-//!    rejected at the divergence as *skipped* (schedules dispositioned
-//!    without executing their suffix). `effective_per_sec` counts
-//!    distinct + skipped per second — classes dispositioned per second.
-//!
-//! A separate **snapshot-fork microbench** measures the other pruning
-//! primitive: one admissible loop is snapshotted once and resumed many
-//! times, each resume under a differently-seeded suffix scheduler
-//! (`restore` + `replace_scheduler`), with each resumed run's canonical
-//! key deduped. Fig6 app arms cannot use loop snapshots (their custom
-//! environments are snapshot-inadmissible), so this primitive is measured
-//! on a synthetic timer workload and reported once, not per arm.
+//! 1. **raw** — a wall-clock window of record-mode executions run
+//!    back-to-back, counted through the campaign's metrics registry
+//!    ([`RunContext::fuzz_once`]).
+//! 2. **canon** — the first [`CANON_RUNS`] runs of the arm's seed stream
+//!    with the pruning kit attached ([`RunContext::enable_prune`]): every
+//!    run's event log folds into an HB canonical key, and a seen-set
+//!    splits runs into distinct vs redundant. The window is a fixed run
+//!    count, not a time slice, so its `distinct` count is a pure function
+//!    of (base seed, app, preset) and does not depend on the hardware;
+//!    its wall time still yields a `distinct_per_sec`.
 //!
 //! The report serializes to `BENCH_throughput.json` at the repo root;
-//! [`read_summary`] reads both v1 and v2 documents so the perf trajectory
+//! [`read_summary`] reads both v1 and v3 documents so the perf trajectory
 //! spans the schema change.
 
 use std::time::{Duration, Instant};
@@ -42,7 +29,11 @@ use nodefz_obs::{JsonValue, JsonWriter, ObsLevel};
 use crate::config::PRESETS;
 use crate::driver::{arm_seed, derive_seed, RunContext};
 use crate::metrics::{build_registry, WorkerTelemetry};
-use crate::prune::{ForkExplorer, PruneCounters, SEEN_CAP};
+use crate::prune::SEEN_CAP;
+
+/// Runs in each arm's canon window: seed indices `0..CANON_RUNS` of the
+/// arm's seed stream.
+pub const CANON_RUNS: u64 = 1000;
 
 /// Configuration of one throughput measurement.
 #[derive(Clone, Debug)]
@@ -51,7 +42,7 @@ pub struct BenchConfig {
     pub apps: Vec<String>,
     /// Wall-clock warmup per arm, excluded from the measurement.
     pub warmup: Duration,
-    /// Wall-clock measurement window (per arm *and* per window kind).
+    /// Wall-clock length of each arm's raw window.
     pub window: Duration,
     /// Base environment seed; per-run seeds derive like the campaign's.
     pub base_seed: u64,
@@ -68,16 +59,16 @@ impl Default for BenchConfig {
     }
 }
 
-/// The canon window: raw execution with online HB-class dedup.
+/// The canon window: a fixed run prefix with online HB-class dedup.
 #[derive(Clone, Debug)]
 pub struct CanonWindow {
-    /// Executions completed inside the window.
+    /// Executions in the window ([`CANON_RUNS`]).
     pub runs: u64,
     /// Executions that opened a new HB-equivalence class.
     pub distinct: u64,
     /// Executions whose class was already seen.
     pub redundant: u64,
-    /// Actual measured wall-clock time (>= the configured window).
+    /// Wall-clock time the window took.
     pub elapsed: Duration,
 }
 
@@ -97,29 +88,6 @@ impl CanonWindow {
     }
 }
 
-/// The pruned window: [`ForkExplorer`] counters over one wall-clock
-/// window.
-#[derive(Clone, Debug)]
-pub struct PrunedWindow {
-    /// The explorer's counters at window end.
-    pub counters: PruneCounters,
-    /// Actual measured wall-clock time (>= the configured window).
-    pub elapsed: Duration,
-}
-
-impl PrunedWindow {
-    /// Distinct HB classes per second under pruned exploration.
-    pub fn distinct_per_sec(&self) -> f64 {
-        self.counters.distinct as f64 / self.elapsed.as_secs_f64().max(f64::EPSILON)
-    }
-
-    /// Schedule classes dispositioned per second: executed-and-distinct
-    /// plus skipped-without-executing.
-    pub fn effective_per_sec(&self) -> f64 {
-        self.counters.effective() as f64 / self.elapsed.as_secs_f64().max(f64::EPSILON)
-    }
-}
-
 /// Measured throughput of one (app, preset) arm.
 #[derive(Clone, Debug)]
 pub struct ArmThroughput {
@@ -135,8 +103,6 @@ pub struct ArmThroughput {
     pub elapsed: Duration,
     /// The canon window's measurement.
     pub canon: CanonWindow,
-    /// The pruned window's measurement.
-    pub pruned: PrunedWindow,
 }
 
 impl ArmThroughput {
@@ -151,38 +117,11 @@ impl ArmThroughput {
     }
 }
 
-/// The snapshot-fork microbench: one admissible loop snapshotted once,
-/// resumed many times under distinct suffix schedulers.
-#[derive(Clone, Debug)]
-pub struct SnapshotBench {
-    /// Resumes performed (each one `restore` + `replace_scheduler` + run).
-    pub forks: u64,
-    /// Resumed runs that opened a new HB class.
-    pub distinct: u64,
-    /// Actual measured wall-clock time.
-    pub elapsed: Duration,
-}
-
-impl SnapshotBench {
-    /// Snapshot resumes per second.
-    pub fn forks_per_sec(&self) -> f64 {
-        self.forks as f64 / self.elapsed.as_secs_f64().max(f64::EPSILON)
-    }
-
-    /// Distinct HB classes per second across resumed runs.
-    pub fn distinct_per_sec(&self) -> f64 {
-        self.distinct as f64 / self.elapsed.as_secs_f64().max(f64::EPSILON)
-    }
-}
-
-/// A full throughput report: one entry per (app, preset) arm plus the
-/// snapshot-fork microbench.
+/// A full throughput report: one entry per (app, preset) arm.
 #[derive(Clone, Debug)]
 pub struct ThroughputReport {
     /// Per-arm measurements, in (app, preset) order.
     pub arms: Vec<ArmThroughput>,
-    /// The snapshot-fork microbench result.
-    pub snapshot_fork: SnapshotBench,
     /// The configuration that produced the report.
     pub config: BenchConfig,
 }
@@ -205,20 +144,14 @@ impl ThroughputReport {
 
     /// Aggregate distinct HB classes per second across canon windows.
     pub fn total_distinct_per_sec(&self) -> f64 {
-        let distinct: u64 = self.arms.iter().map(|a| a.canon.distinct).sum();
         let elapsed: Duration = self.arms.iter().map(|a| a.canon.elapsed).sum();
-        distinct as f64 / elapsed.as_secs_f64().max(f64::EPSILON)
+        self.total_distinct() as f64 / elapsed.as_secs_f64().max(f64::EPSILON)
     }
 
-    /// Aggregate classes dispositioned per second across pruned windows.
-    pub fn total_effective_per_sec(&self) -> f64 {
-        let effective: u64 = self
-            .arms
-            .iter()
-            .map(|a| a.pruned.counters.effective())
-            .sum();
-        let elapsed: Duration = self.arms.iter().map(|a| a.pruned.elapsed).sum();
-        effective as f64 / elapsed.as_secs_f64().max(f64::EPSILON)
+    /// Distinct HB classes summed over every arm's canon window — a
+    /// deterministic figure for a given base seed and app list.
+    pub fn total_distinct(&self) -> u64 {
+        self.arms.iter().map(|a| a.canon.distinct).sum()
     }
 
     /// Aggregate canon-window redundancy.
@@ -232,13 +165,14 @@ impl ThroughputReport {
         }
     }
 
-    /// Serializes the report as the `nodefz-throughput-v2` JSON document.
+    /// Serializes the report as the `nodefz-throughput-v3` JSON document.
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
         w.begin_object();
-        w.field_str("schema", "nodefz-throughput-v2");
+        w.field_str("schema", "nodefz-throughput-v3");
         w.field_u64("warmup_ms", self.config.warmup.as_millis() as u64);
         w.field_u64("window_ms", self.config.window.as_millis() as u64);
+        w.field_u64("canon_runs", CANON_RUNS);
         w.field_u64("base_seed", self.config.base_seed);
         w.key("arms");
         w.begin_array();
@@ -260,43 +194,16 @@ impl ThroughputReport {
             w.field_f64("distinct_per_sec", arm.canon.distinct_per_sec(), 1);
             w.field_f64("redundancy_ratio", arm.canon.redundancy_ratio(), 6);
             w.end_object();
-            w.key("pruned");
-            w.begin_object();
-            let c = &arm.pruned.counters;
-            w.field_u64("runs", c.runs);
-            w.field_u64("distinct", c.distinct);
-            w.field_u64("redundant", c.redundant);
-            w.field_u64("skipped", c.skipped);
-            w.field_u64("forked", c.forked);
-            w.field_u64("prefix_hits", c.prefix_hits);
-            w.field_u64("snapshot_forks", c.snapshot_forks);
-            w.field_f64("elapsed_ms", arm.pruned.elapsed.as_secs_f64() * 1e3, 3);
-            w.field_f64("distinct_per_sec", arm.pruned.distinct_per_sec(), 1);
-            w.field_f64("effective_per_sec", arm.pruned.effective_per_sec(), 1);
-            w.field_f64("prefix_hit_rate", c.prefix_hit_rate(), 6);
-            w.end_object();
             w.end_object();
         }
         w.end_array();
-        w.key("snapshot_fork");
-        w.begin_object();
-        w.field_u64("forks", self.snapshot_fork.forks);
-        w.field_u64("distinct", self.snapshot_fork.distinct);
-        w.field_f64(
-            "elapsed_ms",
-            self.snapshot_fork.elapsed.as_secs_f64() * 1e3,
-            3,
-        );
-        w.field_f64("forks_per_sec", self.snapshot_fork.forks_per_sec(), 1);
-        w.field_f64("distinct_per_sec", self.snapshot_fork.distinct_per_sec(), 1);
-        w.end_object();
         w.key("total");
         w.begin_object();
         w.field_u64("runs", self.total_runs());
         w.field_f64("elapsed_ms", self.total_elapsed().as_secs_f64() * 1e3, 3);
         w.field_f64("execs_per_sec", self.total_execs_per_sec(), 1);
+        w.field_u64("distinct", self.total_distinct());
         w.field_f64("distinct_per_sec", self.total_distinct_per_sec(), 1);
-        w.field_f64("effective_per_sec", self.total_effective_per_sec(), 1);
         w.field_f64("redundancy_ratio", self.total_redundancy_ratio(), 6);
         w.end_object();
         w.end_object();
@@ -348,7 +255,7 @@ pub fn measure(cfg: &BenchConfig) -> Result<ThroughputReport, String> {
             }
 
             // Raw window: the v1 measurement, byte-for-byte comparable
-            // with the pre-v2 trajectory.
+            // with the v1 trajectory.
             let (runs_before, events_before) = scrape(&registry);
             let start = Instant::now();
             let elapsed = loop {
@@ -368,134 +275,36 @@ pub fn measure(cfg: &BenchConfig) -> Result<ThroughputReport, String> {
                 runs: runs_after - runs_before,
                 events: events_after - events_before,
                 elapsed,
-                canon: canon_window(app, preset, base, seed_no, cfg.window),
-                pruned: pruned_window(app, preset, cfg.base_seed, cfg.window),
+                canon: canon_window(app, preset, base),
             });
         }
     }
     Ok(ThroughputReport {
         arms,
-        snapshot_fork: snapshot_fork_bench(cfg.base_seed, cfg.window),
         config: cfg.clone(),
     })
 }
 
-/// The canon window: continue the arm's seed stream with the pruning kit
-/// attached, deduping canonical keys online.
-fn canon_window(
-    app: &str,
-    preset: usize,
-    base: u64,
-    mut seed_no: u64,
-    window: Duration,
-) -> CanonWindow {
+/// The canon window: the arm's first [`CANON_RUNS`] seeds with the pruning
+/// kit attached, deduping canonical keys online.
+fn canon_window(app: &str, preset: usize, base: u64) -> CanonWindow {
     let mut ctx = RunContext::new();
     ctx.enable_prune();
     let mut seen = nodefz_hb::SeenSet::new(SEEN_CAP);
-    let mut out = CanonWindow {
-        runs: 0,
-        distinct: 0,
-        redundant: 0,
-        elapsed: Duration::ZERO,
-    };
+    let mut distinct = 0;
     let start = Instant::now();
-    loop {
+    for seed_no in 0..CANON_RUNS {
         let exec = ctx.fuzz_once(app, preset, derive_seed(base, seed_no));
-        seed_no += 1;
-        out.runs += 1;
         let (key, _scope) = exec.canon.expect("pruning context yields keys");
         if seen.insert(key) {
-            out.distinct += 1;
-        } else {
-            out.redundant += 1;
-        }
-        out.elapsed = start.elapsed();
-        if out.elapsed >= window {
-            return out;
+            distinct += 1;
         }
     }
-}
-
-/// The pruned window: the fork explorer's step loop.
-fn pruned_window(app: &str, preset: usize, base_seed: u64, window: Duration) -> PrunedWindow {
-    let mut explorer =
-        ForkExplorer::new(app, preset, base_seed).expect("apps validated before measuring");
-    let start = Instant::now();
-    loop {
-        explorer.step();
-        let elapsed = start.elapsed();
-        if elapsed >= window {
-            return PrunedWindow {
-                counters: *explorer.counters(),
-                elapsed,
-            };
-        }
-    }
-}
-
-/// The snapshot-fork microbench (module docs): a one-shot-free timer
-/// program under a fork-capable fuzz scheduler, snapshotted at an
-/// iteration boundary, then resumed in a loop — each resume restoring the
-/// prefix state (no prefix re-execution) and swapping in a fresh-seeded
-/// suffix scheduler.
-fn snapshot_fork_bench(base_seed: u64, window: Duration) -> SnapshotBench {
-    use nodefz_rt::{EventLogHandle, EventLoop, LoopConfig, VDur, VTime};
-
-    let params = crate::config::preset_params(0);
-    let cfg = LoopConfig {
-        max_vtime: VTime::ZERO + VDur::millis(40),
-        ..LoopConfig::seeded(base_seed)
-    };
-    let mut el = EventLoop::with_scheduler(
-        cfg,
-        Box::new(nodefz::FuzzScheduler::new(params.clone(), base_seed)),
-    );
-    let log = EventLogHandle::fresh();
-    el.set_event_log(&log);
-    el.enter(|cx| {
-        cx.set_interval(VDur::millis(3), |cx| {
-            cx.touch_write("bench:a");
-        });
-        cx.set_interval(VDur::millis(5), |cx| {
-            cx.touch_read("bench:a");
-            cx.touch_update("bench:b");
-        });
-        cx.set_interval(VDur::millis(7), |cx| {
-            cx.touch_write("bench:b");
-        });
-    });
-    assert!(
-        el.run_bounded(4).is_none(),
-        "bench prefix outlasts 4 iterations"
-    );
-    let snap = el.snapshot().expect("timer-only loop is admissible");
-
-    let mut canon = nodefz_hb::CanonBuilder::new();
-    let mut scratch = Vec::new();
-    let mut seen = nodefz_hb::SeenSet::new(SEEN_CAP);
-    let mut out = SnapshotBench {
-        forks: 0,
-        distinct: 0,
-        elapsed: Duration::ZERO,
-    };
-    let start = Instant::now();
-    loop {
-        assert!(el.restore(&snap), "one-shot-free snapshot never stales");
-        let sched_seed = derive_seed(base_seed ^ 0x736e_6170, out.forks);
-        el.replace_scheduler(Box::new(nodefz::FuzzScheduler::new(
-            params.clone(),
-            sched_seed,
-        )));
-        el.run();
-        out.forks += 1;
-        let key = log.with(|l| canon.build(l, &mut scratch));
-        if seen.insert(key) {
-            out.distinct += 1;
-        }
-        out.elapsed = start.elapsed();
-        if out.elapsed >= window {
-            return out;
-        }
+    CanonWindow {
+        runs: CANON_RUNS,
+        distinct,
+        redundant: CANON_RUNS - distinct,
+        elapsed: start.elapsed(),
     }
 }
 
@@ -525,13 +334,11 @@ pub struct BenchSummary {
     pub total_execs_per_sec: f64,
     /// Aggregate distinct HB classes per second (`None` in v1 documents).
     pub total_distinct_per_sec: Option<f64>,
-    /// Aggregate classes dispositioned per second (`None` in v1).
-    pub total_effective_per_sec: Option<f64>,
 }
 
-/// Reads a persisted bench document — `nodefz-throughput-v1` or `-v2` —
+/// Reads a persisted bench document — `nodefz-throughput-v1` or `-v3` —
 /// into a normalized summary, so trajectory tooling spans the schema
-/// change (v1 documents simply have no pruning columns).
+/// change (v1 documents simply have no canon columns).
 ///
 /// # Errors
 ///
@@ -539,7 +346,7 @@ pub struct BenchSummary {
 pub fn read_summary(json: &str) -> Result<BenchSummary, String> {
     let doc = JsonValue::parse(json).map_err(|e| format!("bench document: {e}"))?;
     let schema =
-        nodefz_obs::expect_schema_any(&doc, &["nodefz-throughput-v1", "nodefz-throughput-v2"])
+        nodefz_obs::expect_schema_any(&doc, &["nodefz-throughput-v1", "nodefz-throughput-v3"])
             .map_err(|e| format!("bench document: {e}"))?
             .to_string();
     let arms = doc
@@ -583,13 +390,15 @@ pub fn read_summary(json: &str) -> Result<BenchSummary, String> {
             .and_then(|v| v.as_f64())
             .ok_or("total: missing execs_per_sec")?,
         total_distinct_per_sec: total.get("distinct_per_sec").and_then(|v| v.as_f64()),
-        total_effective_per_sec: total.get("effective_per_sec").and_then(|v| v.as_f64()),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Canon-window distinct classes of GHO/standard at base seed 1.
+    const GHO_STANDARD_SEED1_DISTINCT: u64 = 368;
 
     fn tiny() -> BenchConfig {
         BenchConfig {
@@ -608,19 +417,23 @@ mod tests {
             assert!(arm.runs > 0, "no executions in window for {}", arm.app);
             assert!(arm.events > 0);
             assert!(arm.execs_per_sec() > 0.0);
-            assert!(arm.canon.runs > 0);
+            assert_eq!(arm.canon.runs, CANON_RUNS);
             assert_eq!(arm.canon.distinct + arm.canon.redundant, arm.canon.runs);
             assert!(arm.canon.distinct_per_sec() > 0.0);
-            let c = &arm.pruned.counters;
-            assert!(c.runs > 0);
-            assert_eq!(c.distinct + c.redundant, c.runs);
-            assert!(c.forked > 0, "pruned window must fork: {c:?}");
         }
         assert!(report.total_execs_per_sec() > 0.0);
         assert!(report.total_distinct_per_sec() > 0.0);
-        assert!(report.total_effective_per_sec() > 0.0);
-        assert!(report.snapshot_fork.forks > 0);
-        assert!(report.snapshot_fork.distinct > 0);
+        assert!(report.total_distinct() > 0);
+    }
+
+    #[test]
+    fn canon_window_distinct_count_is_deterministic() {
+        let base = arm_seed(1, "GHO", 0);
+        let a = canon_window("GHO", 0, base);
+        let b = canon_window("GHO", 0, base);
+        assert_eq!(a.runs, CANON_RUNS);
+        assert_eq!(a.distinct, b.distinct);
+        assert_eq!(a.distinct, GHO_STANDARD_SEED1_DISTINCT);
     }
 
     #[test]
@@ -628,10 +441,10 @@ mod tests {
         let report = measure(&tiny()).unwrap();
         let json = report.to_json();
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert!(json.contains("\"schema\": \"nodefz-throughput-v2\""));
+        assert!(json.contains("\"schema\": \"nodefz-throughput-v3\""));
         assert!(json.contains("\"distinct_per_sec\""));
         assert!(json.contains("\"redundancy_ratio\""));
-        assert!(json.contains("\"snapshot_fork\""));
+        assert!(json.contains("\"canon_runs\": 1000"));
         assert_eq!(
             json.matches("\"app\"").count(),
             PRESETS.len(),
@@ -640,10 +453,10 @@ mod tests {
     }
 
     #[test]
-    fn summary_reads_back_the_v2_document() {
+    fn summary_reads_back_the_v3_document() {
         let report = measure(&tiny()).unwrap();
         let summary = read_summary(&report.to_json()).unwrap();
-        assert_eq!(summary.schema, "nodefz-throughput-v2");
+        assert_eq!(summary.schema, "nodefz-throughput-v3");
         assert_eq!(summary.arms.len(), report.arms.len());
         for (row, arm) in summary.arms.iter().zip(&report.arms) {
             assert_eq!(row.app, arm.app);
@@ -651,7 +464,6 @@ mod tests {
             assert!(row.redundancy_ratio.is_some());
         }
         assert!(summary.total_distinct_per_sec.is_some());
-        assert!(summary.total_effective_per_sec.is_some());
     }
 
     #[test]

@@ -346,10 +346,6 @@ impl MetricsSnapshot {
             w.field_u64("runs", p.runs);
             w.field_u64("distinct", p.distinct);
             w.field_u64("redundant", p.redundant);
-            w.field_u64("skipped", p.skipped);
-            w.field_u64("forked", p.forked);
-            w.field_u64("prefix_hits", p.prefix_hits);
-            w.field_u64("snapshot_forks", p.snapshot_forks);
             w.field_u64("mismatches", p.mismatches);
             if let Some(h) = &self.prune_health {
                 w.field_u64("seen_occupancy", h.seen_occupancy);

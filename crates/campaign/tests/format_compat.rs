@@ -127,7 +127,6 @@ fn legacy_bench_document_reads_back_without_pruning_columns() {
         summary.total_distinct_per_sec, None,
         "v1 documents predate canonicalization"
     );
-    assert_eq!(summary.total_effective_per_sec, None);
     assert_eq!(summary.arms.len(), 2);
     let gho = &summary.arms[0];
     assert_eq!((gho.app.as_str(), gho.preset.as_str()), ("GHO", "standard"));

@@ -38,8 +38,8 @@ pub enum PruneOutcome {
     Distinct,
     /// The class had already been executed; the run was redundant.
     Redundant,
-    /// The class was dispositioned by a prefix-snapshot fork without a
-    /// full execution.
+    /// The class was dispositioned without a full execution. No current
+    /// producer emits it; older journals carry it and still parse.
     Forked,
     /// The per-environment outcome memo disagreed with this run — the
     /// soundness tripwire.

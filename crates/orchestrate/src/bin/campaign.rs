@@ -82,7 +82,7 @@ const USAGE: &str = "usage: campaign [options]
   --obs-level LEVEL  worker loop profiling: off | counters | full
                      (default off; above off needs an obs-feature build)
   --bench-execs      measure execs/sec per (app, preset) and exit
-  --bench-window-ms N  measurement window per arm (default 400)
+  --bench-window-ms N  raw measurement window per arm (default 400)
   --bench-warmup-ms N  warmup per arm, excluded from measurement (default 100)
   --bench-out PATH   where to write the JSON report
                      (default BENCH_throughput.json)
@@ -458,27 +458,23 @@ fn run_bench(cfg: &CampaignConfig, opts: &BenchOpts) -> ExitCode {
     };
     for arm in &report.arms {
         println!(
-            "  {:<4} {:<10} {:>8} runs  {:>9.1} execs/s  {:>8.1} distinct/s  {:>10.1} effective/s  {:>5.3} redundancy",
+            "  {:<4} {:<10} {:>8} runs  {:>9.1} execs/s  {:>5} distinct  {:>8.1} distinct/s  {:>5.3} redundancy",
             arm.app,
             arm.preset,
             arm.runs,
             arm.execs_per_sec(),
+            arm.canon.distinct,
             arm.canon.distinct_per_sec(),
-            arm.pruned.effective_per_sec(),
             arm.canon.redundancy_ratio(),
         );
     }
     println!(
-        "  snapshot-fork: {:.1} forks/s, {:.1} distinct/s",
-        report.snapshot_fork.forks_per_sec(),
-        report.snapshot_fork.distinct_per_sec(),
-    );
-    println!(
-        "  total: {} runs, {:.1} execs/s, {:.1} distinct/s, {:.1} effective/s ({:.3} redundancy)",
+        "  total: {} runs, {:.1} execs/s, {} distinct in {}-run canon windows, {:.1} distinct/s ({:.3} redundancy)",
         report.total_runs(),
         report.total_execs_per_sec(),
+        report.total_distinct(),
+        nodefz_campaign::CANON_RUNS,
         report.total_distinct_per_sec(),
-        report.total_effective_per_sec(),
         report.total_redundancy_ratio(),
     );
     if let Err(e) = std::fs::write(&opts.out, report.to_json()) {
@@ -647,9 +643,7 @@ fn run_orchestrate(cfg: &CampaignConfig, opts: &OrchOpts) -> ExitCode {
                     arm.new_bugs,
                     arm.runs,
                     pruning
-                        .map(|p| {
-                            format!("  {} distinct / {} effective", p.distinct, p.effective())
-                        })
+                        .map(|p| format!("  {} distinct / {} classified", p.distinct, p.runs))
                         .unwrap_or_default(),
                     arm.quarantined
                         .as_ref()
@@ -659,11 +653,8 @@ fn run_orchestrate(cfg: &CampaignConfig, opts: &OrchOpts) -> ExitCode {
             }
             if let Some(p) = report.pruning_totals() {
                 println!(
-                    "orchestrate: pruning saw {} runs, {} distinct class(es), {} skipped ({} effective dispositions)",
-                    p.runs,
-                    p.distinct,
-                    p.skipped,
-                    p.effective(),
+                    "orchestrate: pruning saw {} runs, {} distinct class(es), {} redundant",
+                    p.runs, p.distinct, p.redundant,
                 );
             }
             println!(

@@ -132,34 +132,19 @@ pub struct WorkPruning {
     pub distinct: u64,
     /// Runs landing in an already-seen class.
     pub redundant: u64,
-    /// Schedule classes dispositioned without executing them.
-    pub skipped: u64,
-    /// Prefix-forked runs.
-    pub forked: u64,
 }
 
 impl WorkPruning {
-    /// Classes dispositioned: executed-and-distinct plus
-    /// skipped-without-executing.
-    pub fn effective(&self) -> u64 {
-        self.distinct + self.skipped
-    }
-
     fn add(&mut self, other: &WorkPruning) {
         self.runs += other.runs;
         self.distinct += other.distinct;
         self.redundant += other.redundant;
-        self.skipped += other.skipped;
-        self.forked += other.forked;
     }
 
     fn write_fields(&self, w: &mut JsonWriter) {
         w.field_u64("runs", self.runs);
         w.field_u64("distinct", self.distinct);
         w.field_u64("redundant", self.redundant);
-        w.field_u64("skipped", self.skipped);
-        w.field_u64("forked", self.forked);
-        w.field_u64("effective", self.effective());
     }
 }
 
@@ -450,8 +435,6 @@ fn read_worker_metrics(path: &Path) -> Result<Option<WorkerMetrics>, String> {
             runs: p.get("runs")?.as_u64()?,
             distinct: p.get("distinct")?.as_u64()?,
             redundant: p.get("redundant")?.as_u64()?,
-            skipped: p.get("skipped")?.as_u64()?,
-            forked: p.get("forked")?.as_u64()?,
         })
     });
     Ok(Some(WorkerMetrics {
@@ -888,8 +871,6 @@ mod tests {
                     runs: 40,
                     distinct: 4,
                     redundant: 36,
-                    skipped: 120,
-                    forked: 30,
                 }),
             }],
             discovery: vec![OrchDiscovery {
@@ -919,10 +900,9 @@ mod tests {
         assert_eq!(report.quarantined().len(), 1);
 
         let totals = report.pruning_totals().unwrap();
-        assert_eq!(totals.effective(), 124);
+        assert_eq!(totals.distinct + totals.redundant, totals.runs);
         let pruning = doc.get("pruning").unwrap();
-        assert_eq!(pruning.get("skipped").and_then(|v| v.as_u64()), Some(120));
-        assert_eq!(pruning.get("effective").and_then(|v| v.as_u64()), Some(124));
+        assert_eq!(pruning.get("redundant").and_then(|v| v.as_u64()), Some(36));
         assert_eq!(
             arm.get("pruning")
                 .and_then(|p| p.get("distinct"))
@@ -932,9 +912,9 @@ mod tests {
         let work = &doc.get("work").and_then(|w| w.as_array()).unwrap()[0];
         assert_eq!(
             work.get("pruning")
-                .and_then(|p| p.get("forked"))
+                .and_then(|p| p.get("runs"))
                 .and_then(|v| v.as_u64()),
-            Some(30)
+            Some(40)
         );
     }
 

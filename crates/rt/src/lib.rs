@@ -70,7 +70,6 @@ mod proc;
 mod rng;
 mod sched;
 mod signal;
-pub mod snapshot;
 mod time;
 mod timers;
 mod trace;
@@ -90,7 +89,6 @@ pub use proc::{ChildSpec, Pid};
 pub use rng::{Rng, ShuffleScratch};
 pub use sched::{PoolMode, Scheduler, TimerVerdict, VanillaScheduler};
 pub use signal::Signal;
-pub use snapshot::LoopSnapshot;
 pub use time::{VDur, VTime};
 pub use timers::TimerId;
 pub use trace::{CbKind, TraceRecorder, TypeSchedule};

@@ -134,30 +134,6 @@ impl PoolState {
         self.cost_jitter = cost_jitter;
     }
 
-    /// Clones the pool for a snapshot. Refuses (returns `None`) while any
-    /// task is queued, running, or awaiting delivery: task bodies and done
-    /// callbacks are `FnOnce` and cannot be duplicated. An idle pool's
-    /// identity state — descriptor, id counter, stats, RNG stream — clones
-    /// cleanly, so forked runs continue the same deterministic streams.
-    pub fn try_clone(&self) -> Option<PoolState> {
-        if self.busy() {
-            return None;
-        }
-        Some(PoolState {
-            queue: VecDeque::new(),
-            running: Vec::new(),
-            done_mux: VecDeque::new(),
-            done_demux: Vec::new(),
-            pool_fd: self.pool_fd,
-            pool_fd_armed: self.pool_fd_armed,
-            wait_since: self.wait_since,
-            next_id: self.next_id,
-            stats: self.stats,
-            rng: self.rng.clone(),
-            cost_jitter: self.cost_jitter,
-        })
-    }
-
     /// Stores a de-multiplexed completion under its private descriptor.
     pub fn put_done_demux(&mut self, fd: Fd, task: CompletedTask) {
         self.done_demux.push((fd, task));

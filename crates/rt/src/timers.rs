@@ -21,26 +21,15 @@ pub struct TimerId(pub u64);
 /// callback across firings.
 pub type TimerCb = Rc<RefCell<dyn FnMut(&mut Ctx<'_>)>>;
 
-/// Cloning shares the callback `Rc` with the original: a snapshot fork
-/// re-fires the same closure object, which is sound exactly when the
-/// closure's captured state is not mutated across runs (fork-safe
-/// programs — see `crate::snapshot`).
-#[derive(Clone)]
 pub(crate) struct TimerEntry {
     pub id: TimerId,
     pub deadline: VTime,
     pub period: Option<VDur>,
     pub cb: TimerCb,
     pub seq: u64,
-    /// One-shot (`setTimeout`) callbacks are `FnOnce` closures consumed on
-    /// first fire; this flag — shared with every snapshot clone of the
-    /// entry — flips when that happens, so a restore can detect that a
-    /// captured one-shot has gone stale and refuse instead of silently
-    /// firing a no-op. `None` for repeating (`setInterval`) timers.
-    pub spent: Option<Rc<std::cell::Cell<bool>>>,
 }
 
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub(crate) struct TimerHeap {
     heap: BinaryHeap<Reverse<(VTime, u64, TimerId)>>,
     /// Timer slab, indexed by `TimerId` (ids are allocated sequentially
@@ -65,18 +54,6 @@ impl TimerHeap {
     }
 
     pub fn insert(&mut self, deadline: VTime, period: Option<VDur>, cb: TimerCb) -> TimerId {
-        self.insert_with_spent(deadline, period, cb, None)
-    }
-
-    /// Inserts a timer carrying a consumed-once flag (see
-    /// [`TimerEntry::spent`]).
-    pub fn insert_with_spent(
-        &mut self,
-        deadline: VTime,
-        period: Option<VDur>,
-        cb: TimerCb,
-        spent: Option<Rc<std::cell::Cell<bool>>>,
-    ) -> TimerId {
         let id = TimerId(self.entries.len() as u64);
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -87,20 +64,9 @@ impl TimerHeap {
             period,
             cb,
             seq,
-            spent,
         }));
         self.live += 1;
         id
-    }
-
-    /// Whether any live one-shot timer's callback has already been
-    /// consumed by another loop sharing it (a stale snapshot — see
-    /// [`TimerEntry::spent`]).
-    pub fn any_spent_oneshot(&self) -> bool {
-        self.entries
-            .iter()
-            .flatten()
-            .any(|e| e.spent.as_ref().is_some_and(|s| s.get()))
     }
 
     /// Cancels a timer. Returns whether it was still registered.
