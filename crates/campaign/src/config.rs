@@ -40,7 +40,9 @@ pub fn preset_params(preset: usize) -> nodefz::FuzzParams {
 /// Everything a campaign needs to run.
 #[derive(Clone, Debug)]
 pub struct CampaignConfig {
-    /// Worker threads running fuzz and shrink jobs.
+    /// Fuzz worker threads. Every campaign also runs one shrinker thread
+    /// beside them, which minimizes and acceptance-replays each new
+    /// signature's trace, so repro work never queues ahead of fuzz runs.
     pub threads: usize,
     /// Total fuzz runs to spend across all arms.
     pub budget: u64,

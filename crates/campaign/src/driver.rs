@@ -9,14 +9,20 @@
 //!
 //! ```text
 //! controller ── bandit picks (app, preset) ──► seed queue ──► workers
-//!      ▲                                                        │
+//!      ▲  │                                                     │
+//!      │  └── new signature ──► repro channel ──► shrinker      │
+//!      │                                             │          │
 //!      └──── findings / shrink results ◄───── channel ◄─────────┘
 //! ```
 //!
-//! A new signature triggers a shrink job (delta debugging + acceptance
-//! replays) routed back through the same queue; the shrunk repro is then
-//! persisted. The campaign drains gracefully when the run budget is spent
-//! or the wall-clock deadline passes.
+//! A new signature becomes a repro job (delta debugging + acceptance
+//! replays) for the campaign's one shrinker thread, so repro work runs
+//! beside the fuzz workers instead of queueing ahead of later fuzz runs;
+//! the shrunk repro is then persisted. The fuzz stream depends only on
+//! the order of fuzz completions and their bandit rewards, never on a
+//! shrink, so moving repro work off the workers changes no finding. The
+//! campaign drains gracefully when the run budget is spent or the
+//! wall-clock deadline passes, after every pending repro job finishes.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -34,7 +40,7 @@ use crate::bandit::{Arm, Bandit};
 use crate::config::{preset_name, preset_params, CampaignConfig, DIRECTED_PRESET};
 use crate::corpus::{Corpus, CorpusEntry};
 use crate::dedup::{BugRecord, Deduper, Finding};
-use crate::metrics::{self, Discovery, WorkerTelemetry};
+use crate::metrics::{self, Discovery, ReproStats, WorkerTelemetry};
 use crate::prune::{ClassVerdict, Pruner, SEEN_CAP};
 use crate::shrink::shrink;
 use nodefz_obs::{Journal, JournalEvent, PruneOutcome, JOURNAL_CAP};
@@ -63,33 +69,32 @@ pub fn resolve_case(app: &str) -> Option<Box<dyn nodefz_apps::common::BugCase>> 
     nodefz_apps::by_abbr(app)
 }
 
-/// One unit of worker work.
-enum Job {
-    /// Run the app once under a recording fuzz scheduler — or, when a
-    /// directed spec is attached, under a race-directed scheduler that
-    /// replays the spec's prefix and forces the predicted flip.
-    Fuzz {
-        app: String,
-        preset: usize,
-        env_seed: u64,
-        directed: Option<DirectedSpec>,
-        /// Whether to ship the run's type schedule back for the per-arm
-        /// diversity summary (the first few runs of each arm).
-        want_schedule: bool,
-    },
-    /// Minimize a manifesting trace, then acceptance-replay it.
-    Shrink {
-        app: String,
-        env_seed: u64,
-        trace: DecisionTrace,
-        signature: BugSignature,
-        do_shrink: bool,
-        replay_checks: u32,
-    },
+/// One unit of worker work: run the app once under a recording fuzz
+/// scheduler — or, when a directed spec is attached, under a
+/// race-directed scheduler that replays the spec's prefix and forces the
+/// predicted flip.
+struct Job {
+    app: String,
+    preset: usize,
+    env_seed: u64,
+    directed: Option<DirectedSpec>,
+    /// Whether to ship the run's type schedule back for the per-arm
+    /// diversity summary (the first few runs of each arm).
+    want_schedule: bool,
 }
 
-/// Worker → controller messages.
+/// One unit of shrinker work: minimize a new signature's manifesting
+/// trace, then acceptance-replay it.
+struct ReproJob {
+    app: String,
+    env_seed: u64,
+    trace: DecisionTrace,
+    signature: BugSignature,
+}
+
+/// Worker and shrinker → controller messages.
 enum Msg {
+    /// A fuzz worker finished a run.
     FuzzDone {
         app: String,
         preset: usize,
@@ -100,11 +105,16 @@ enum Msg {
         /// [`crate::prune::env_scope`]), when pruning is on.
         canon: Option<(CanonKey, u64)>,
     },
+    /// The shrinker finished a repro job.
     ShrinkDone {
         signature: BugSignature,
         shrunk: DecisionTrace,
         original_len: usize,
         replays_ok: u32,
+        /// Replays the job ran: shrink oracle calls plus acceptance checks.
+        replays: u64,
+        /// Wall time the shrinker spent on the job.
+        busy: Duration,
     },
 }
 
@@ -448,67 +458,76 @@ fn worker_loop(
         ctx.set_obs(obs.clone());
     }
     loop {
-        match queue.pop(me) {
-            Some(Job::Fuzz {
+        let Some(Job {
+            app,
+            preset,
+            env_seed,
+            directed,
+            want_schedule,
+        }) = queue.pop(me)
+        else {
+            if stop.load(Ordering::Acquire) {
+                return;
+            }
+            std::thread::sleep(Duration::from_micros(100));
+            continue;
+        };
+        let exec = match directed {
+            Some(spec) => ctx.fuzz_directed(&app, spec, env_seed),
+            None => ctx.fuzz_once_sampled(&app, preset, env_seed, want_schedule),
+        };
+        telemetry.record_exec(exec.dispatched, exec.finding.is_some());
+        if tx
+            .send(Msg::FuzzDone {
                 app,
                 preset,
-                env_seed,
-                directed,
-                want_schedule,
-            }) => {
-                let exec = match directed {
-                    Some(spec) => ctx.fuzz_directed(&app, spec, env_seed),
-                    None => ctx.fuzz_once_sampled(&app, preset, env_seed, want_schedule),
-                };
-                telemetry.record_exec(exec.dispatched, exec.finding.is_some());
-                if tx
-                    .send(Msg::FuzzDone {
-                        app,
-                        preset,
-                        finding: exec.finding,
-                        schedule: exec.schedule,
-                        canon: exec.canon,
-                    })
-                    .is_err()
-                {
-                    return;
-                }
-            }
-            Some(Job::Shrink {
-                app,
-                env_seed,
-                trace,
-                signature,
-                do_shrink,
-                replay_checks,
-            }) => {
-                let original_len = trace.decisions.len();
-                let shrunk = if do_shrink {
-                    shrink(&trace, |t| replays_to(&app, env_seed, t, &signature)).trace
-                } else {
-                    trace
-                };
-                let replays_ok = (0..replay_checks)
-                    .filter(|_| replays_to(&app, env_seed, &shrunk, &signature))
-                    .count() as u32;
-                if tx
-                    .send(Msg::ShrinkDone {
-                        signature,
-                        shrunk,
-                        original_len,
-                        replays_ok,
-                    })
-                    .is_err()
-                {
-                    return;
-                }
-            }
-            None => {
-                if stop.load(Ordering::Acquire) {
-                    return;
-                }
-                std::thread::sleep(Duration::from_micros(100));
-            }
+                finding: exec.finding,
+                schedule: exec.schedule,
+                canon: exec.canon,
+            })
+            .is_err()
+        {
+            return;
+        }
+    }
+}
+
+/// The shrinker thread: runs repro jobs in arrival order until the
+/// controller drops the job channel at drain.
+fn shrink_loop(
+    jobs: mpsc::Receiver<ReproJob>,
+    tx: mpsc::Sender<Msg>,
+    do_shrink: bool,
+    replay_checks: u32,
+) {
+    for ReproJob {
+        app,
+        env_seed,
+        trace,
+        signature,
+    } in jobs
+    {
+        let started = Instant::now();
+        let original_len = trace.decisions.len();
+        let (shrunk, shrink_runs) = if do_shrink {
+            let result = shrink(&trace, |t| replays_to(&app, env_seed, t, &signature));
+            (result.trace, result.runs)
+        } else {
+            (trace, 0)
+        };
+        let replays_ok = (0..replay_checks)
+            .filter(|_| replays_to(&app, env_seed, &shrunk, &signature))
+            .count() as u32;
+        let done = Msg::ShrinkDone {
+            signature,
+            shrunk,
+            original_len,
+            replays_ok,
+            replays: shrink_runs + u64::from(replay_checks),
+            busy: started.elapsed(),
+        };
+        if tx.send(done).is_err() {
+            return;
         }
     }
 }
@@ -634,6 +653,17 @@ pub fn run_with_progress(
                 .expect("spawn worker")
         })
         .collect();
+    // One shrinker thread beside the workers: repro jobs never wait
+    // behind fuzz runs, and fuzz runs never wait behind repro work.
+    let (repro_tx, repro_rx) = mpsc::channel::<ReproJob>();
+    let shrinker = {
+        let tx = tx.clone();
+        let (do_shrink, replay_checks) = (cfg.shrink, cfg.replay_checks);
+        std::thread::Builder::new()
+            .name("campaign-shrink".into())
+            .spawn(move || shrink_loop(repro_rx, tx, do_shrink, replay_checks))
+            .expect("spawn shrinker")
+    };
     drop(tx);
 
     let start = Instant::now();
@@ -641,6 +671,7 @@ pub fn run_with_progress(
     let mut dispatched = 0u64;
     let mut completed = 0u64;
     let mut shrinks_pending = 0u64;
+    let mut repro = ReproStats::default();
     let mut next_slot = 0usize;
     // (original trace length, for the final summary) keyed by signature.
     let mut originals: Vec<(BugSignature, usize)> = Vec::new();
@@ -698,7 +729,7 @@ pub fn run_with_progress(
         *pull += 1;
         queue.push(
             *next_slot,
-            Job::Fuzz {
+            Job {
                 app: arm.app,
                 preset: arm.preset,
                 env_seed,
@@ -734,6 +765,13 @@ pub fn run_with_progress(
         }
         let msg = match rx.recv_timeout(Duration::from_millis(50)) {
             Ok(msg) => msg,
+            // The shrinker only exits at drain, so one that finished with
+            // jobs pending panicked: stop waiting for its results.
+            Err(mpsc::RecvTimeoutError::Timeout)
+                if shrinks_pending > 0 && shrinker.is_finished() =>
+            {
+                break
+            }
             Err(mpsc::RecvTimeoutError::Timeout) => continue,
             Err(mpsc::RecvTimeoutError::Disconnected) => break,
         };
@@ -796,19 +834,16 @@ pub fn run_with_progress(
                             first_ms: start.elapsed().as_millis() as u64,
                         });
                         originals.push((signature.clone(), trace.decisions.len()));
-                        queue.push(
-                            next_slot,
-                            Job::Shrink {
-                                app: arm.app.clone(),
-                                env_seed,
-                                trace,
-                                signature,
-                                do_shrink: cfg.shrink,
-                                replay_checks: cfg.replay_checks,
-                            },
-                        );
-                        next_slot += 1;
+                        // The send fails only when the shrinker panicked,
+                        // which the drain reports.
+                        let _ = repro_tx.send(ReproJob {
+                            app: arm.app.clone(),
+                            env_seed,
+                            trace,
+                            signature,
+                        });
                         shrinks_pending += 1;
+                        repro.max_pending = repro.max_pending.max(shrinks_pending);
                     }
                 }
                 bandit.reward(&arm, new_bugs);
@@ -831,8 +866,13 @@ pub fn run_with_progress(
                 shrunk,
                 original_len,
                 replays_ok,
+                replays,
+                busy,
             } => {
                 shrinks_pending -= 1;
+                repro.jobs += 1;
+                repro.replays += replays;
+                repro.busy += busy;
                 on_event(&Event::Shrunk {
                     signature: signature.clone(),
                     from: original_len,
@@ -868,15 +908,20 @@ pub fn run_with_progress(
                     &registry,
                     deduper.records().len() as u64,
                     pruner.as_ref(),
+                    repro,
                 )?;
             }
         }
     }
 
     stop.store(true, Ordering::Release);
+    drop(repro_tx);
     for w in workers {
         let _ = w.join();
     }
+    shrinker
+        .join()
+        .map_err(|_| "campaign: the shrinker thread panicked".to_string())?;
 
     // Workers are quiescent: the final snapshot is exact, not sampled.
     if let Some(path) = &cfg.metrics_out {
@@ -891,6 +936,7 @@ pub fn run_with_progress(
             &registry,
             deduper.records().len() as u64,
             pruner.as_ref(),
+            repro,
         )?;
     }
     if let (Some(path), Some(j)) = (&cfg.journal_out, journal.as_ref()) {
@@ -967,6 +1013,7 @@ fn write_metrics(
     registry: &nodefz_obs::Registry,
     unique_bugs: u64,
     pruner: Option<&Pruner>,
+    repro: ReproStats,
 ) -> Result<(), String> {
     let mut snapshot = metrics::collect(
         start.elapsed(),
@@ -985,6 +1032,7 @@ fn write_metrics(
         pruner.map(Pruner::counters),
         pruner.map(Pruner::health),
     );
+    snapshot.repro = Some(repro);
     if finished {
         snapshot.apicov = conform_apicov(cfg, bandit);
     }
@@ -1093,7 +1141,7 @@ mod tests {
         for i in 0..4 {
             q.push(
                 0,
-                Job::Fuzz {
+                Job {
                     app: "KUE".into(),
                     preset: 0,
                     env_seed: i,
@@ -1104,15 +1152,9 @@ mod tests {
         }
         // Worker 1 has nothing: it steals from worker 0.
         let stolen = q.pop(1).expect("steals from the loaded peer");
-        match stolen {
-            Job::Fuzz { env_seed, .. } => assert_eq!(env_seed, 2, "steals the back half"),
-            Job::Shrink { .. } => panic!("unexpected job kind"),
-        }
+        assert_eq!(stolen.env_seed, 2, "steals the back half");
         // Worker 0 still pops its own front.
-        match q.pop(0).expect("own work remains") {
-            Job::Fuzz { env_seed, .. } => assert_eq!(env_seed, 0),
-            Job::Shrink { .. } => panic!("unexpected job kind"),
-        }
+        assert_eq!(q.pop(0).expect("own work remains").env_seed, 0);
     }
 
     #[test]

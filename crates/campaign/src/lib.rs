@@ -9,9 +9,9 @@
 //! is persisted to a text corpus whose entries replay deterministically.
 //!
 //! ```text
-//! seeds ──► driver (N threads) ──► dedup ──► shrink ──► corpus
-//!              ▲                                           │
-//!              └───── bandit budget reallocation ◄─────────┘
+//! seeds ──► driver (N fuzz threads) ──► dedup ──► shrink (1 thread) ──► corpus
+//!              ▲                                                          │
+//!              └───────────── bandit budget reallocation ◄────────────────┘
 //! ```
 //!
 //! See [`run`] / [`run_with_progress`] for the entry points and the
@@ -49,6 +49,6 @@ pub use driver::{
     resolve_case, run, run_with_progress, verify_entry, BugSummary, CampaignReport, Event,
     FuzzExec, RunContext,
 };
-pub use metrics::{ArmMetrics, Discovery, MetricsSnapshot, PhaseMetrics};
+pub use metrics::{ArmMetrics, Discovery, MetricsSnapshot, PhaseMetrics, ReproStats};
 pub use prune::{env_scope, ClassVerdict, PruneCounters, PruneHealth, Pruner};
 pub use shrink::{shrink, ShrinkResult};

@@ -170,6 +170,20 @@ pub struct Discovery {
     pub first_ms: u64,
 }
 
+/// The repro stage's work: the campaign's shrinker thread minimizing and
+/// acceptance-replaying each new signature's trace.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ReproStats {
+    /// Repro jobs finished (one per new signature).
+    pub jobs: u64,
+    /// Replays those jobs ran: shrink oracle calls plus acceptance checks.
+    pub replays: u64,
+    /// Wall time the shrinker spent on them.
+    pub busy: Duration,
+    /// Most repro jobs queued or running at once.
+    pub max_pending: u64,
+}
+
 /// Aggregated loop-phase timing, one row per phase.
 #[derive(Clone, Debug)]
 pub struct PhaseMetrics {
@@ -226,6 +240,10 @@ pub struct MetricsSnapshot {
     /// campaign pulled a `CONFORM-API` arm). The full `nodefz-apicov-v1`
     /// document embeds under the `apicov` key — additive, like `sa`.
     pub apicov: Option<nodefz_conform::ApiCovSnapshot>,
+    /// Repro-stage accounting (`None` outside a campaign driver). Additive,
+    /// like `pruning`: readers of older snapshots without the block keep
+    /// working.
+    pub repro: Option<ReproStats>,
 }
 
 impl MetricsSnapshot {
@@ -371,6 +389,16 @@ impl MetricsSnapshot {
             w.end_object();
         }
 
+        if let Some(r) = &self.repro {
+            w.key("repro");
+            w.begin_object();
+            w.field_u64("jobs", r.jobs);
+            w.field_u64("replays", r.replays);
+            w.field_f64("busy_ms", r.busy.as_secs_f64() * 1e3, 3);
+            w.field_u64("max_pending", r.max_pending);
+            w.end_object();
+        }
+
         if let Some(cov) = &self.apicov {
             w.key("apicov");
             w.raw(&cov.to_json());
@@ -432,6 +460,7 @@ pub(crate) fn collect(
         prune_health,
         sa: None,
         apicov: None,
+        repro: None,
     }
 }
 

@@ -134,3 +134,55 @@ fn legacy_bench_document_reads_back_without_pruning_columns() {
     assert_eq!(gho.distinct_per_sec, None);
     assert_eq!(gho.redundancy_ratio, None);
 }
+
+/// A final `nodefz-metrics-v1` snapshot as the build before the repro
+/// stage was accounted wrote it (`--apps KUE --presets standard --budget 6
+/// --threads 1 --seed 3 --prune`) — frozen, do not regenerate.
+const LEGACY_METRICS: &str = r#"{"schema": "nodefz-metrics-v1", "elapsed_ms": 2, "budget": 6, "runs": 6, "dispatched": 416, "manifested": 4, "unique_bugs": 1, "execs_per_sec": 2478.2, "finished": true, "arms": [{"app": "KUE", "preset": "standard", "pulls": 6, "mean_reward": 0.327680, "ucb_bound": 0.600914, "diversity": {"runs": 6, "mean_pairwise_ld": 0.251379, "min_pairwise_ld": 0.166667, "max_pairwise_ld": 0.320513, "distinct": 6, "mean_len": 69.3, "kind_entropy": 1.580811, "truncation": 20000}}], "discovery": [{"signature": "KUE:15bdb893f134167a", "app": "KUE", "site": "final state some(\"*\"), # retry queue entr(ies)", "first_exec": 1, "first_ms": 0}], "phases": [], "callbacks": [], "run_dispatched": {"bounds": [64, 128, 256, 512, 1024, 2048, 4096, 8192], "buckets": [0, 6, 0, 0, 0, 0, 0, 0, 0], "count": 6, "sum": 416, "mean": 69.3}, "pruning": {"runs": 6, "distinct": 6, "redundant": 0, "mismatches": 0, "seen_occupancy": 6, "seen_evictions": 0, "seen_hits": 0, "redundancy_ratio": 0.000000}}
+"#;
+
+/// Top-level keys of a parsed JSON object, in document order.
+fn keys(doc: &nodefz_obs::JsonValue) -> Vec<&str> {
+    match doc {
+        nodefz_obs::JsonValue::Obj(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+        other => panic!("not an object: {other:?}"),
+    }
+}
+
+/// The `repro` block is additive: a snapshot without it still reads, and
+/// the current build writes the same document plus that one block.
+#[test]
+fn metrics_snapshots_read_with_and_without_the_repro_block() {
+    let legacy = nodefz_obs::JsonValue::parse(LEGACY_METRICS).expect("legacy snapshot parses");
+    nodefz_obs::expect_schema(&legacy, "nodefz-metrics-v1").expect("same schema version");
+    assert!(legacy.get("repro").is_none());
+    // The fields the orchestrator and the benchmark read back.
+    assert_eq!(legacy.get("runs").and_then(|v| v.as_u64()), Some(6));
+    let first = &legacy.get("discovery").and_then(|d| d.as_array()).unwrap()[0];
+    assert_eq!(first.get("first_exec").and_then(|v| v.as_u64()), Some(1));
+    let pruning = legacy.get("pruning").unwrap();
+    assert_eq!(pruning.get("distinct").and_then(|v| v.as_u64()), Some(6));
+
+    let path =
+        std::env::temp_dir().join(format!("nodefz-compat-metrics-{}.json", std::process::id()));
+    let cfg = nodefz_campaign::CampaignConfig {
+        threads: 1,
+        budget: 6,
+        apps: vec!["KUE".into()],
+        presets: vec![0],
+        base_seed: 3,
+        prune: true,
+        metrics_out: Some(path.clone()),
+        ..nodefz_campaign::CampaignConfig::default()
+    };
+    nodefz_campaign::run(&cfg).expect("campaign runs");
+    let text = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    let current = nodefz_obs::JsonValue::parse(&text).expect("current snapshot parses");
+    let mut expected = keys(&legacy);
+    expected.push("repro");
+    assert_eq!(keys(&current), expected, "{text}");
+    let repro = current.get("repro").unwrap();
+    assert_eq!(repro.get("jobs").and_then(|v| v.as_u64()), Some(1));
+    assert_eq!(repro.get("max_pending").and_then(|v| v.as_u64()), Some(1));
+}

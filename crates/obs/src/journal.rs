@@ -14,16 +14,17 @@
 //! (`{"schema": "nodefz-journal-v1", ...}`) followed by one object per
 //! retained event. Sequence numbers are global and monotone, so a gap
 //! after the header's `dropped` count is visible evidence of shedding,
-//! not corruption. Documents are persisted with [`crate::write_atomic`]
-//! so a concurrent reader (the orchestrator scraping worker journals)
-//! never sees a torn file.
+//! not corruption. Documents are streamed to a temp file and renamed
+//! into place, as [`crate::write_atomic`] does, so a concurrent reader
+//! (the orchestrator scraping worker journals) never sees a torn file.
 
 use std::collections::VecDeque;
-use std::io;
+use std::io::{self, Write};
 use std::path::Path;
 use std::time::Instant;
 
-use crate::{write_atomic, JsonValue, JsonWriter};
+use crate::fsio::write_atomic_with;
+use crate::{JsonValue, JsonWriter};
 
 /// Schema identifier written in the journal header line.
 pub const JOURNAL_SCHEMA: &str = "nodefz-journal-v1";
@@ -268,7 +269,15 @@ impl Journal {
 
     /// Renders the `nodefz-journal-v1` JSON-lines document.
     pub fn encode(&self) -> String {
-        let mut out = String::new();
+        let mut out = Vec::new();
+        self.write_to(&mut out)
+            .expect("writing to a Vec cannot fail");
+        String::from_utf8(out).expect("the journal encodes as UTF-8")
+    }
+
+    /// Streams the `nodefz-journal-v1` document into `out`: the header
+    /// line, then one line per retained entry.
+    fn write_to(&self, out: &mut dyn Write) -> io::Result<()> {
         let mut w = JsonWriter::new();
         w.begin_object();
         w.field_str("schema", JOURNAL_SCHEMA);
@@ -276,13 +285,11 @@ impl Journal {
         w.field_u64("dropped", self.dropped);
         w.field_u64("events", self.buf.len() as u64);
         w.end_object();
-        out.push_str(&w.finish());
-        out.push('\n');
+        writeln!(out, "{}", w.finish())?;
         for entry in &self.buf {
-            out.push_str(&encode_entry(entry));
-            out.push('\n');
+            writeln!(out, "{}", encode_entry(entry))?;
         }
-        out
+        Ok(())
     }
 
     /// Parses a `nodefz-journal-v1` document back into a journal.
@@ -332,9 +339,10 @@ impl Journal {
         Ok(journal)
     }
 
-    /// Atomically persists the document (temp file + rename).
+    /// Atomically persists the document (temp file + rename), streaming
+    /// it line by line rather than rendering it whole first.
     pub fn write(&self, path: &Path) -> io::Result<()> {
-        write_atomic(path, &self.encode())
+        write_atomic_with(path, |out| self.write_to(out))
     }
 }
 
@@ -548,6 +556,87 @@ mod tests {
         assert_eq!(back.encode(), text);
         assert_eq!(back.len(), 4);
         assert_eq!(back.dropped(), 0);
+    }
+
+    #[test]
+    fn streamed_write_matches_encode_and_leaves_no_temp_file() {
+        let dir = std::env::temp_dir().join(format!("nodefz-journal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut j = Journal::new(8);
+        j.push_at(0, pull(0));
+        let orch_pull = JournalEvent::ArmPull {
+            exec: 40,
+            arm: "KUE/standard/fuzz".into(),
+            pulls: 2,
+            mean_reward: 0.5,
+            ucb: None,
+            successes: Some(1.0),
+            failures: Some(1.0),
+        };
+        j.push_at(1, orch_pull);
+        for (t, verdict) in [
+            PruneOutcome::Distinct,
+            PruneOutcome::Redundant,
+            PruneOutcome::Forked,
+            PruneOutcome::Mismatch,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            j.push_at(2 + t as u64, JournalEvent::Prune { exec: 1, verdict });
+        }
+        for (t, state, reason) in [
+            (6, WorkerState::Spawned, None),
+            (7, WorkerState::Reaped, Some("stalled".to_string())),
+            (8, WorkerState::Quarantined, Some("stalled".to_string())),
+        ] {
+            j.push_at(
+                t,
+                JournalEvent::Worker {
+                    index: 3,
+                    arm: "KUE/directed".into(),
+                    state,
+                    reason,
+                },
+            );
+        }
+        j.push_at(
+            9,
+            JournalEvent::Discovery {
+                exec: 7,
+                app: "GHO".into(),
+                site: "gho:user-row \"quoted\"".into(),
+            },
+        );
+        // Ten events in a ring of eight: the header counts two dropped.
+        assert_eq!(j.dropped(), 2);
+        let path = dir.join("journal.jsonl");
+        j.write(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text, j.encode());
+        // The header line, then exactly one `encode_entry` line per
+        // retained event, each newline-terminated.
+        let mut expected = String::from(
+            "{\"schema\": \"nodefz-journal-v1\", \"cap\": 8, \"dropped\": 2, \"events\": 8}\n",
+        );
+        for entry in j.entries() {
+            expected.push_str(&encode_entry(entry));
+            expected.push('\n');
+        }
+        assert_eq!(text, expected);
+        // Rewriting in place replaces the document.
+        j.push_at(10, pull(11));
+        j.write(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text, j.encode());
+        assert_eq!(Journal::decode(&text).unwrap().encode(), text);
+        let names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, vec!["journal.jsonl".to_string()], "{names:?}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -33,7 +33,8 @@ const USAGE: &str = "usage: campaign [options]
                    [--soundness] [--gated] [--tripwire N] [--canary]
                    [--apicov PATH]
        campaign lint [--apps LIST]
-  --threads N        worker threads (default 4)
+  --threads N        fuzz worker threads (default 4); every campaign
+                     also runs one shrinker thread for repro jobs
   --budget N         total fuzz runs (default 400)
   --apps A,B,C       bug abbreviations to target (default: the fig6 set)
   --presets LIST     comma-separated fuzz presets to arm (standard,
@@ -580,6 +581,7 @@ fn run_analyze(cfg: &CampaignConfig, opts: &AnalyzeOpts) -> ExitCode {
             prune_health: None,
             sa: Some(report.sa),
             apicov: None,
+            repro: None,
         };
         if let Err(e) = nodefz_obs::write_atomic(path, &snapshot.to_json()) {
             eprintln!("campaign: cannot write {}: {e}", path.display());

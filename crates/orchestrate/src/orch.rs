@@ -61,8 +61,9 @@ pub struct OrchConfig {
     pub replay_checks: u32,
     /// Forward `--prune` to workers: each child campaign classifies its
     /// runs into happens-before equivalence classes and reports pruning
-    /// counters in its metrics snapshot, which the rollup aggregates into
-    /// effective throughput per arm.
+    /// counters in its metrics snapshot, which the rollup sums into
+    /// runs, distinct and redundant classes per work item, per arm, and
+    /// in total.
     pub prune: bool,
 }
 

@@ -5,7 +5,7 @@
 
 use std::time::{Duration, Instant};
 
-use nodefz_campaign::{run, verify_entry, CampaignConfig, Corpus};
+use nodefz_campaign::{run, run_with_progress, verify_entry, CampaignConfig, Corpus, Event};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("nodefz-smoke-{tag}-{}", std::process::id()))
@@ -174,6 +174,26 @@ fn metrics_snapshot_is_written_and_telemetry_does_not_perturb_findings() {
     ] {
         assert!(doc.contains(needle), "snapshot missing {needle}: {doc}");
     }
+    // Every new signature got exactly one repro job by the final snapshot.
+    let parsed = nodefz_obs::JsonValue::parse(&doc).expect("snapshot parses");
+    let discovered = parsed
+        .get("discovery")
+        .and_then(|d| d.as_array())
+        .map_or(0, |d| d.len() as u64);
+    let repro = parsed
+        .get("repro")
+        .expect("final snapshot has a repro block");
+    assert_eq!(
+        repro.get("jobs").and_then(|v| v.as_u64()),
+        Some(discovered),
+        "{doc}"
+    );
+    assert!(
+        repro.get("replays").and_then(|v| v.as_u64()) >= Some(discovered),
+        "each job runs at least its acceptance replay: {doc}"
+    );
+    assert!(repro.get("busy_ms").and_then(|v| v.as_f64()).is_some());
+    assert!(repro.get("max_pending").and_then(|v| v.as_u64()) >= Some(1));
     // Loop-phase rows exist only in instrumented builds at above-off
     // levels; this campaign ran at the default level, so either way the
     // array must be present (and the default build keeps it empty).
@@ -227,4 +247,130 @@ fn conform_arm_runs_clean_in_a_campaign() {
         "the runtime violated its own ordering oracle: {:#?}",
         report.bugs
     );
+}
+
+/// What one campaign's progress events show of its fuzz stream.
+struct Observed {
+    /// Completed-run index of each `NewBug`, with its signature.
+    new_bugs: Vec<(u64, String)>,
+    /// Signatures in `Shrunk` events, in arrival order.
+    shrunk: Vec<String>,
+    /// (app, preset, pulls) per bandit arm.
+    pulls: Vec<(String, &'static str, u64)>,
+    hit_deadline: bool,
+}
+
+fn observe(cfg: &CampaignConfig) -> Observed {
+    let (mut completed, mut new_bugs, mut shrunk) = (0u64, Vec::new(), Vec::new());
+    let report = run_with_progress(cfg, |e| match e {
+        Event::Run { completed: c, .. } => completed = *c,
+        // A run's `NewBug` precedes its `Run` event.
+        Event::NewBug { signature, .. } => new_bugs.push((completed + 1, signature.to_string())),
+        Event::Shrunk { signature, .. } => shrunk.push(signature.to_string()),
+        Event::DeadlineHit => {}
+    })
+    .expect("campaign runs");
+    Observed {
+        new_bugs,
+        shrunk,
+        pulls: report
+            .arms
+            .iter()
+            .map(|(app, preset, pulls, _)| (app.clone(), *preset, *pulls))
+            .collect(),
+        hit_deadline: report.hit_deadline,
+    }
+}
+
+fn one_worker(tag: &str, shrink: bool) -> CampaignConfig {
+    let corpus_dir = temp_dir(tag);
+    let _ = std::fs::remove_dir_all(&corpus_dir);
+    CampaignConfig {
+        threads: 1,
+        budget: 400,
+        apps: vec!["GHO".into(), "AKA".into(), "KUE".into(), "FPS".into()],
+        base_seed: 5,
+        shrink,
+        replay_checks: 3,
+        corpus_dir: Some(corpus_dir),
+        ..CampaignConfig::default()
+    }
+}
+
+/// Sorted (file name, bytes) of every file in a corpus directory.
+fn corpus_bytes(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let path = e.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn repro_work_does_not_perturb_the_fuzz_stream() {
+    // Repro jobs run on the shrinker thread beside the one fuzz worker.
+    // The fuzz stream depends only on fuzz completions and their rewards,
+    // so shrinking on or off must not move a discovery or an arm pull.
+    let with = one_worker("stream-shrink", true);
+    let without = one_worker("stream-noshrink", false);
+    let a = observe(&with);
+    let b = observe(&without);
+    assert!(a.new_bugs.len() >= 3, "bugs: {:?}", a.new_bugs);
+    assert_eq!(a.new_bugs, b.new_bugs, "discoveries moved");
+    assert_eq!(a.pulls, b.pulls, "arm pulls moved");
+    for cfg in [with, without] {
+        std::fs::remove_dir_all(cfg.corpus_dir.unwrap()).unwrap();
+    }
+}
+
+#[test]
+fn one_worker_campaigns_persist_byte_identical_corpora() {
+    let first = one_worker("bytes-a", true);
+    let second = one_worker("bytes-b", true);
+    observe(&first);
+    observe(&second);
+    let (dir_a, dir_b) = (first.corpus_dir.unwrap(), second.corpus_dir.unwrap());
+    let (a, b) = (corpus_bytes(&dir_a), corpus_bytes(&dir_b));
+    assert!(
+        a.len() >= 3,
+        "corpus: {:?}",
+        a.iter().map(|f| &f.0).collect::<Vec<_>>()
+    );
+    assert!(a == b, "corpora differ between same-seed runs");
+    std::fs::remove_dir_all(dir_a).unwrap();
+    std::fs::remove_dir_all(dir_b).unwrap();
+}
+
+#[test]
+fn every_new_bug_is_shrunk_before_return() {
+    // A zero deadline fires before the first completion, so every
+    // discovery among the in-flight runs queues its repro job after the
+    // deadline: the drain must still wait for each one.
+    let mut cfg = one_worker("deadline", true);
+    cfg.threads = 2;
+    cfg.budget = 1_000_000;
+    cfg.deadline = Some(Duration::ZERO);
+    cfg.corpus_dir = None;
+    let seen = observe(&cfg);
+    assert!(seen.hit_deadline, "deadline must trip");
+    assert!(!seen.new_bugs.is_empty(), "in-flight runs must find a bug");
+    let mut found: Vec<&String> = seen.new_bugs.iter().map(|(_, s)| s).collect();
+    let mut shrunk: Vec<&String> = seen.shrunk.iter().collect();
+    found.sort();
+    shrunk.sort();
+    assert_eq!(found, shrunk, "one Shrunk per NewBug");
+
+    // And without a deadline, at the end of the budget.
+    let seen = observe(&one_worker("drain", true));
+    let mut found: Vec<&String> = seen.new_bugs.iter().map(|(_, s)| s).collect();
+    let mut shrunk: Vec<&String> = seen.shrunk.iter().collect();
+    found.sort();
+    shrunk.sort();
+    assert_eq!(found, shrunk, "one Shrunk per NewBug");
+    std::fs::remove_dir_all(temp_dir("drain")).unwrap();
 }
